@@ -16,10 +16,11 @@ Usage::
     python benchmarks/record_pipeline.py --check    # CI regression gate
 
 ``--check`` re-measures only the cheap, machine-stable gate metrics
-(strict parser and streaming decode) and exits non-zero when any is
-more than ``--threshold``× (default 2.0) slower than the committed
-``after`` value. A missing or unreadable committed record downgrades
-the gate to a warning, so the first run on a fresh branch cannot fail.
+(strict parser, streaming, Modbus and frame decode, sharded fleet)
+and exits non-zero when any is more than ``--threshold``× (default
+2.0) slower than the committed ``after`` value. A missing or
+unreadable committed record downgrades the gate to a warning, so the
+first run on a fresh branch cannot fail.
 """
 
 from __future__ import annotations
@@ -63,11 +64,14 @@ BEFORE = {
 #: I/O, so a 2x drift reliably means a code regression. The stream
 #: metric covers the repro.stream pipeline (ByteChunk -> decode ->
 #: dispatch) the same way the parser metric covers the codec; the
-#: fleet metric covers the sharded supervisor end to end (worker
-#: spawn, per-shard demux, snapshot merge).
+#: packet metric covers frame decode (bytes -> CapturedPacket,
+#: checksums verified); the fleet metric covers the sharded
+#: supervisor end to end (worker spawn, per-shard demux, snapshot
+#: merge).
 GATE_METRICS = ("strict_parse_ns_per_frame",
                 "stream_decode_ns_per_frame",
                 "modbus_decode_ns_per_frame",
+                "packet_decode_ns_per_frame",
                 "fleet_ns_per_packet_w1")
 
 #: Extra --check headroom per metric: process spawn and pipe IPC make
@@ -164,6 +168,38 @@ def measure_modbus(frame_count: int = 2000) -> dict:
     return {
         "modbus_decode_ns_per_frame":
             round(_best_ns(run) / len(frames), 1),
+    }
+
+
+def measure_decode(frame_count: int = 2000) -> dict:
+    """Frame decode: Ethernet bytes -> ``CapturedPacket``.
+
+    Synthetic IEC 104 I-frames carried in PSH/ACK segments between two
+    hosts, decoded with checksums verified — the per-frame cost every
+    capture path (batch, demux, standalone pipeline) pays once.
+    """
+    from repro.netstack import PSH_ACK, CapturedPacket, TCPSegment, ipv4, mac
+
+    src_mac, dst_mac = mac("02:00:00:00:00:01"), mac("02:00:00:00:00:02")
+    src_ip, dst_ip = ipv4("10.0.0.1"), ipv4("10.1.0.7")
+    encoded = []
+    seq = 0
+    for index, apdu in enumerate(_frames(frame_count)):
+        segment = TCPSegment(src_port=2404, dst_port=40000 + index % 8,
+                             seq=seq, ack=1, flags=PSH_ACK,
+                             payload=apdu)
+        seq += len(apdu)
+        encoded.append((index, CapturedPacket.build(
+            index, src_mac, dst_mac, src_ip, dst_ip, segment,
+            ip_id=index & 0xFFFF).encode()))
+
+    def run():
+        for time_us, data in encoded:
+            CapturedPacket.decode(time_us, data)
+
+    return {
+        "packet_decode_ns_per_frame":
+            round(_best_ns(run) / len(encoded), 1),
     }
 
 
@@ -330,6 +366,7 @@ def cmd_record(args) -> int:
     after = measure_parsers()
     after.update(measure_stream())
     after.update(measure_modbus())
+    after.update(measure_decode())
     after.update(measure_fleet())
     after.update(measure_serve())
     after.update(measure_pipeline())
@@ -346,6 +383,7 @@ def cmd_check(args) -> int:
     measured = measure_parsers()
     measured.update(measure_stream())
     measured.update(measure_modbus())
+    measured.update(measure_decode())
     measured.update(measure_fleet(worker_counts=(1,)))
     failed = []
     for metric in GATE_METRICS:

@@ -27,7 +27,7 @@ from .analysis import (ConnectionChains, FlowAnalysis, PacketCapture,
                        type_distribution, type_id_distribution)
 from .datasets import CaptureConfig, generate_capture
 from .netstack.addresses import IPv4Address
-from .netstack.packet import CapturedPacket
+from .netstack.packet import decode_records
 from .netstack.pcap import PcapReader
 from .netstack.pcapng import PcapngReader, sniff_format
 
@@ -74,16 +74,12 @@ def _load_names(path: str | None) -> dict[IPv4Address, str]:
 
 def _load_capture(path: str,
                   names: dict[IPv4Address, str]) -> PacketCapture:
-    packets = []
     with open(path, "rb") as stream:
         if sniff_format(stream) == "pcapng":
             reader = PcapngReader(stream)
         else:
             reader = PcapReader(stream)
-        for record in reader:
-            packet = CapturedPacket.decode(record.time_us, record.data)
-            if packet is not None:
-                packets.append(packet)
+        packets = list(decode_records(reader))
     return PacketCapture(packets=packets, names=names)
 
 
@@ -458,8 +454,8 @@ def _build_monitor_target(args: argparse.Namespace, prog: str):
     sources = []
     sharded: ShardedFleetSupervisor | None = None
     if workers > 1:
-        # The workers flip DETECT themselves on their own stream
-        # clocks, so the monitor loop must not also drive the switch.
+        # The workers flip DETECT themselves on stream time, so the
+        # monitor loop must not also drive the switch.
         sharded = ShardedFleetSupervisor(
             factory, workers=workers,
             path=args.pcap if args.demux else None,

@@ -11,7 +11,7 @@ from .ethernet import ETHERTYPE_IPV4, EthernetError, EthernetFrame
 from .filter import FilterError, compile_filter, filter_packets
 from .flows import DirectionStats, FlowKind, FlowRecord, FlowTable
 from .ip import PROTO_TCP, IPv4Error, IPv4Packet
-from .packet import CapturedPacket, Endpoint, FlowKey
+from .packet import CapturedPacket, Endpoint, FlowKey, decode_records
 from .pcap import (LINKTYPE_ETHERNET, PcapError, PcapReader, PcapRecord,
                    PcapWriter, read_pcap, write_pcap)
 from .pcapng import (PcapngError, PcapngReader, PcapngWriter,
@@ -33,6 +33,6 @@ __all__ = [
     "FilterError", "compile_filter", "filter_packets",
     "StreamReassembler", "TCPError", "TCPFlags", "TCPOption",
     "TCPSegment", "encode_options", "parse_options",
-    "internet_checksum", "ipv4", "mac", "read_pcap", "seq_after",
-    "verify_checksum", "write_pcap",
+    "decode_records", "internet_checksum", "ipv4", "mac", "read_pcap",
+    "seq_after", "verify_checksum", "write_pcap",
 ]

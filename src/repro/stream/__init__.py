@@ -17,9 +17,9 @@ from .eviction import (T3_MULTIPLE, EvictionPolicy, EvictionStats,
                        default_idle_timeout_us)
 from .fleet import (DemuxLinkSource, FleetSupervisor, LinkDemux,
                     LinkHealthPolicy)
-from .ingest import (ByteChunk, CaptureSource, ListSource,
-                     MergedSource, PcapngTailSource, PcapTailSource,
-                     Source, TransportTap)
+from .ingest import (ByteChunk, CaptureSource, FramedPacket,
+                     ListSource, MergedSource, PcapngTailSource,
+                     PcapTailSource, Source, TransportTap)
 from .monitor import render_json, render_text, run_monitor
 from .pipeline import STAGES, StageTally, StreamPipeline
 from .shard import (MonitorPipelineFactory, ShardAccept,
@@ -32,9 +32,10 @@ from .snapshots import (SNAPSHOT_SCHEMA_VERSION, FleetSnapshot,
 __all__ = [
     "ByteChunk", "CaptureSource", "DemuxLinkSource", "DetectorMode",
     "EvictionPolicy", "EvictionStats", "FleetSnapshot",
-    "FleetSupervisor", "FlowTally", "LinkAnomaly", "LinkDemux",
-    "LinkHealth", "LinkHealthPolicy", "LinkSnapshot", "ListSource",
-    "LiveFlowTable", "MergedSource", "MonitorPipelineFactory",
+    "FleetSupervisor", "FlowTally", "FramedPacket", "LinkAnomaly",
+    "LinkDemux", "LinkHealth", "LinkHealthPolicy", "LinkSnapshot",
+    "ListSource", "LiveFlowTable", "MergedSource",
+    "MonitorPipelineFactory",
     "OnlineChains", "OnlineCombinedDetector", "PcapTailSource",
     "PcapngTailSource", "RollingFeatures", "RollingSessionWindows",
     "SNAPSHOT_SCHEMA_VERSION", "STAGES", "ShardAccept",

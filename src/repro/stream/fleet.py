@@ -15,10 +15,12 @@ Two feeding shapes:
 * **one merged file for the whole fleet** — :class:`LinkDemux` splits
   a single capture into per-link substreams by (src, dst) endpoint
   pair, discovering links as their first packet arrives
-  (``repro monitor capture.pcapng --demux``). The demux routes the
-  *original* records, so a demuxed link's pipeline sees byte-for-byte
-  what a standalone run over a pre-split file would see — the parity
-  the ``tests/stream/test_fleet.py`` suite pins.
+  (``repro monitor capture.pcapng --demux``). The demux routes each
+  record by a header peek and decodes it once; the link's pipeline
+  counts the decoded packet through its ``frame`` stage, so a demuxed
+  link's state is byte-for-byte what a standalone run over a
+  pre-split file produces — the parity the
+  ``tests/stream/test_fleet.py`` suite pins.
 
 Health is judged by the T3-scaled eviction signal against the *fleet*
 clock (the max of the member clocks): a healthy IEC 104 link is never
@@ -37,12 +39,12 @@ from typing import Callable, Iterator
 
 from ..iec104.constants import ProtocolTimers
 from ..netstack.addresses import IPv4Address
-from ..netstack.packet import CapturedPacket
+from ..netstack.packet import CapturedPacket, peek_addresses, peek_ports
 from ..netstack.pcap import PcapRecord
 from ..protocols.base import detect_protocol
 from ..simnet.clock import Ticks, seconds_to_ticks
 from .eviction import default_idle_timeout_us
-from .ingest import Source, SourceItem
+from .ingest import FramedPacket, Source, SourceItem
 from .pipeline import StreamPipeline
 from .snapshots import FleetSnapshot, LinkHealth, LinkSnapshot
 
@@ -130,21 +132,36 @@ class LinkDemux:
     A *link* is the unordered (src, dst) endpoint pair of a packet's
     IPv4 addresses, named through the host-name map when available
     (``"C1-O12"``) and by dotted quads otherwise. :meth:`pump` pulls a
-    batch from the parent source, decodes each record just far enough
-    to route it, and queues the **original item** on the link's
-    substream — the per-link pipeline re-frames it itself, so its
-    stage counters match a standalone run over a pre-split file
-    exactly. Frames that do not decode to TCP/IPv4 match no link and
-    count as ``unrouted``.
+    batch from the parent source and routes each raw record by a
+    fixed-offset peek at its headers (ethertype, IP version and
+    protocol, the two addresses); link names are cached per address
+    pair. A frame that does not peek as TCP over IPv4 matches no link
+    and counts as ``unrouted``.
+
+    Each accepted record is decoded once, here, and queued on its
+    link's substream as a :class:`~repro.stream.ingest.FramedPacket`;
+    the link's pipeline counts it through its ``frame`` stage without
+    decoding it again, so its stage counters match a standalone run
+    over a pre-split file exactly. A record that peeks as TCP/IPv4 but
+    fails to decode (a bad checksum, a truncated header) is queued as
+    the raw record, and the link's pipeline counts it as a
+    ``frame``-stage error. Already decoded packets (a simnet tap) are
+    routed by their addresses and queued as they are.
 
     ``accept`` restricts the demux to a subset of links: a predicate
     over the link *name*, consulted before any substream is created.
-    Rejected frames count as ``foreign`` — they belong to a link some
-    other demux owns (the sharded fleet runs one whole-file demux per
-    worker, each accepting only its own shard), which is a different
-    condition from ``unrouted`` (no link at all). The name is derived
-    before the predicate runs, so every demux over the same capture
-    agrees frame-for-frame on the routed/foreign/unrouted partition.
+    Rejected frames count as ``foreign`` and are dropped without being
+    decoded — they belong to a link some other demux owns (the sharded
+    fleet runs one whole-file demux per worker, each accepting only
+    its own shard), which is a different condition from ``unrouted``
+    (no link at all). The name is derived before the predicate runs,
+    so every demux over the same capture agrees frame-for-frame on the
+    routed/foreign/unrouted partition.
+
+    ``read_us`` is the demux's read clock: the largest ``time_us`` of
+    any routed or foreign record. Every demux over the same capture
+    reads the same clock after the same read batch, whichever links
+    it accepts.
     """
 
     def __init__(self, source: Source,
@@ -157,44 +174,92 @@ class LinkDemux:
         self.names = names
         self.accept = accept
         self._links: dict[str, DemuxLinkSource] = {}
+        #: Raw 8-octet (src, dst) address pair -> its link, or None
+        #: when the link is foreign. Names are derived once per pair,
+        #: so ``names`` must not change once routing has begun.
+        self._routes: dict[bytes, DemuxLinkSource | None] = {}
         self._new: list[str] = []
         self.routed = 0
         self.unrouted = 0
         self.foreign = 0
+        self.read_us: Ticks = 0
 
     def link_name(self, packet: CapturedPacket) -> str:
-        src = self.names.get(packet.ip.src, str(packet.ip.src))
-        dst = self.names.get(packet.ip.dst, str(packet.ip.dst))
-        return "-".join(sorted((src, dst)))
+        return self._name(packet.ip.src, packet.ip.dst)
+
+    def _name(self, src: IPv4Address, dst: IPv4Address) -> str:
+        src_name = self.names.get(src, str(src))
+        dst_name = self.names.get(dst, str(dst))
+        return "-".join(sorted((src_name, dst_name)))
 
     def _route(self, item: SourceItem) -> None:
-        if isinstance(item, CapturedPacket):
-            packet: CapturedPacket | None = item
-        elif isinstance(item, PcapRecord):
-            packet = CapturedPacket.decode(item.time_us, item.data)
+        if isinstance(item, PcapRecord):
+            link = self._link(peek_addresses(item.data), item)
+            if link is not None:
+                try:
+                    packet = CapturedPacket.decode(item.time_us,
+                                                   item.data)
+                except ValueError:
+                    link._push(item)
+                else:
+                    link._push(FramedPacket(packet))
+        elif isinstance(item, CapturedPacket):
+            link = self._link(item.ip.src.to_bytes()
+                              + item.ip.dst.to_bytes(), item)
+            if link is not None:
+                link._push(item)
         else:
-            packet = None
-        if packet is None:
             self.unrouted += 1
-            return
-        name = self.link_name(packet)
-        if self.accept is not None and not self.accept(name):
-            self.foreign += 1
-            return
-        link = self._links.get(name)
+
+    def _link(self, addresses: bytes | None,
+              item: PcapRecord | CapturedPacket
+              ) -> DemuxLinkSource | None:
+        """The link ``item`` goes to, or None (counted as unrouted or
+        foreign)."""
+        if addresses is None:
+            self.unrouted += 1
+            return None
+        if item.time_us > self.read_us:
+            self.read_us = item.time_us
+        try:
+            link = self._routes[addresses]
+        except KeyError:
+            link = self._resolve(addresses, item)
         if link is None:
-            link = DemuxLinkSource(self, name)
-            # Port-based protocol auto-detect, decided once by the
-            # link's first routed packet (deterministic: every demux
-            # over the same capture sees the same first packet).
-            spec = detect_protocol(packet.tcp.src_port,
-                                   packet.tcp.dst_port)
-            link.protocol_hint = spec.name if spec is not None \
-                else None
-            self._links[name] = link
-            self._new.append(name)
-        link._push(item)
+            self.foreign += 1
+            return None
         self.routed += 1
+        return link
+
+    def _resolve(self, addresses: bytes,
+                 item: PcapRecord | CapturedPacket
+                 ) -> DemuxLinkSource | None:
+        """The link of a new address pair (None when foreign),
+        creating its substream on the link's first routed frame."""
+        name = self._name(IPv4Address(int.from_bytes(addresses[:4],
+                                                     "big")),
+                          IPv4Address(int.from_bytes(addresses[4:],
+                                                     "big")))
+        link: DemuxLinkSource | None = None
+        if self.accept is None or self.accept(name):
+            link = self._links.get(name)
+            if link is None:
+                link = DemuxLinkSource(self, name)
+                # Port-based protocol auto-detect, decided once by the
+                # link's first routed packet (deterministic: every
+                # demux over the same capture sees the same first
+                # packet).
+                ports = (peek_ports(item.data)
+                         if isinstance(item, PcapRecord)
+                         else (item.tcp.src_port, item.tcp.dst_port))
+                spec = detect_protocol(*ports) if ports is not None \
+                    else None
+                link.protocol_hint = spec.name if spec is not None \
+                    else None
+                self._links[name] = link
+                self._new.append(name)
+        self._routes[addresses] = link
+        return link
 
     def pump(self, max_items: int = 512) -> int:
         """Pull one batch from the parent and route it; return its

@@ -350,6 +350,26 @@ class ByteChunk:
                 f"dst={self.dst!r}, {len(self.data)} bytes)")
 
 
+class FramedPacket:
+    """A capture record its :class:`~repro.stream.fleet.LinkDemux`
+    already decoded.
+
+    The demux decodes each frame it accepts once and queues this
+    instead of the raw record, so the link's pipeline need not decode
+    it again. The pipeline still counts it through its ``frame``
+    stage, exactly as it would have framed the raw record itself.
+    """
+
+    __slots__ = ("time_us", "packet")
+
+    def __init__(self, packet: CapturedPacket):
+        self.time_us = packet.time_us
+        self.packet = packet
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"FramedPacket({self.packet!r})"
+
+
 class TransportTap:
     """Buffer + Source for live endpoint byte streams.
 

@@ -5,8 +5,11 @@
 four explicit stages:
 
 * **frame** — raw :class:`~repro.netstack.pcap.PcapRecord` bytes are
-  decoded to :class:`~repro.netstack.packet.CapturedPacket` (already
-  decoded packets from a simnet tap pass through);
+  decoded to :class:`~repro.netstack.packet.CapturedPacket`; a frame
+  that is not TCP/IPv4 or fails to decode counts as a frame error.
+  A :class:`~repro.stream.ingest.FramedPacket` (a record the fleet's
+  demux already decoded) is counted through this stage without a
+  second decode, and packets from a simnet tap bypass it;
 * **reassemble** — protocol port filtering (the bound
   :class:`~repro.protocols.base.ProtocolSpec`'s ports), per-packet or
   per-direction TCP reassembly (reusing :class:`~repro.netstack.
@@ -55,7 +58,7 @@ from ..netstack.reassembly import StreamReassembler
 from ..simnet.clock import Ticks
 from .analyzers import StreamAnalyzer
 from .eviction import EvictionPolicy, EvictionStats
-from .ingest import ByteChunk, Source
+from .ingest import ByteChunk, FramedPacket, Source
 from .snapshots import LinkSnapshot, StageCounters
 
 #: Stage names, in pipeline order.
@@ -156,6 +159,7 @@ class StreamPipeline:
         # Hot-path aliases: the StageTally objects are created once and
         # never replaced, so the per-item stages skip the dict probe.
         self._tally_ingest = self.counters["ingest"]
+        self._tally_frame = self.counters["frame"]
         self._tally_decode = self.counters["decode"]
         self._tally_dispatch = self.counters["dispatch"]
         #: Stream clock: the largest time_us seen (never moves back).
@@ -262,11 +266,17 @@ class StreamPipeline:
             self.late_items += 1
         else:
             self.now_us = time_us
-        if isinstance(item, ByteChunk):
+        if type(item) is FramedPacket:
+            # Decoded by the demux: counted as framed, not re-decoded.
+            frame = self._tally_frame
+            frame.received += 1
+            frame.emitted += 1
+            packet = item.packet
+        elif isinstance(item, ByteChunk):
             counters.emitted += 1
             self._decode_chunk(item)
             return
-        if isinstance(item, PcapRecord):
+        elif isinstance(item, PcapRecord):
             packet = self._frame(item)
             if packet is None:
                 return
@@ -279,9 +289,15 @@ class StreamPipeline:
         self._reassemble(packet)
 
     def _frame(self, record: PcapRecord) -> CapturedPacket | None:
-        counters = self.counters["frame"]
+        """Decode a raw record; a frame that is not TCP/IPv4 or does
+        not decode (bad checksum, truncated header) is a frame-stage
+        error, never an exception out of the pipeline."""
+        counters = self._tally_frame
         counters.received += 1
-        packet = CapturedPacket.decode(record.time_us, record.data)
+        try:
+            packet = CapturedPacket.decode(record.time_us, record.data)
+        except ValueError:
+            packet = None
         if packet is None:
             counters.errors += 1
             return None

@@ -198,9 +198,14 @@ def _worker_loop(fleet: FleetSupervisor, demux: LinkDemux | None,
 
     The worker makes progress on its own (one ``fleet.step()`` per
     round) and services the command pipe between steps, so the parent
-    never has to pump data — it only ever asks questions. The
-    DETECT flip is driven by the worker's *stream* clock
-    (``detect_after_us``), keeping it deterministic on replay.
+    never has to pump data — it only ever asks questions.
+
+    The DETECT flip (``detect_after_us``) is driven by stream time,
+    keeping it deterministic on replay. A demuxing worker compares the
+    demux's read clock — the max ``time_us`` over routed and foreign
+    records — not its fleet's clock, which covers only the worker's
+    own links: every worker then flips after the same read batch as
+    an in-process fleet over the whole capture does.
     """
     detect_at = config.detect_after_us
     switched = detect_at is None
@@ -208,8 +213,9 @@ def _worker_loop(fleet: FleetSupervisor, demux: LinkDemux | None,
     while True:
         moved = fleet.step()
         moved_total += moved
+        clock = demux.read_us if demux is not None else fleet.now_us
         if not switched and detect_at is not None \
-                and fleet.now_us >= detect_at:
+                and clock >= detect_at:
             fleet.switch_to_detect()
             switched = True
         # Busy rounds only peek at the pipe; idle rounds block briefly

@@ -22,13 +22,14 @@ from repro.cli import main
 from repro.datasets import CaptureConfig, generate_capture
 from repro.netstack.packet import CapturedPacket
 from repro.netstack.pcap import PcapRecord, write_pcap
-from repro.netstack.pcapng import write_pcapng
+from repro.netstack.pcapng import read_pcapng, write_pcapng
 from repro.stream import (FleetSnapshot, FleetSupervisor, LinkDemux,
                           LinkHealthPolicy, LinkSnapshot, ListSource,
                           MonitorPipelineFactory, PcapngTailSource,
                           PcapTailSource, ShardAccept,
                           ShardedFleetSupervisor, StageCounters,
-                          WorkerConfig, render_json, shard_of)
+                          WorkerConfig, render_json, run_monitor,
+                          shard_of)
 
 
 def link_name(packet: CapturedPacket, names) -> str:
@@ -295,6 +296,68 @@ class TestParity:
             assert sharded.now_us == reference.time_us
             assert sharded.links == [link.link
                                      for link in reference.links]
+
+
+# -- the LEARN->DETECT flip -----------------------------------------
+
+class TestDetectFlip:
+    """Every worker flips DETECT after the same read batch as the
+    in-process fleet, so learned and scored state merges identically.
+
+    Each switch time is that of a record which closes a read batch
+    and is later than every record before it: the in-process fleet
+    flips right after that batch, while a worker that flipped on its
+    own links' clock would keep learning through the next batch
+    unless it owned that one record. Whether learning one more batch
+    shows in a link's state depends on where the switch falls, so
+    several switch points are checked.
+    """
+
+    DEMUX_BATCH = 16
+
+    @classmethod
+    def switch_time(cls, merged, fraction: float) -> int:
+        """The batch-closing switch time nearest ``fraction`` of the
+        capture's records."""
+        times = [record.time_us for record in read_pcapng(merged)]
+        target = int(len(times) * fraction)
+        ends = range(cls.DEMUX_BATCH, len(times), cls.DEMUX_BATCH)
+        for end in sorted(ends, key=lambda end: abs(end - target)):
+            if times[end - 1] > max(times[:end - 1]):
+                return times[end - 1]
+        raise AssertionError("no batch-closing record to switch at")
+
+    @pytest.mark.parametrize("workers,fraction",
+                             [(1, 0.5), (2, 0.25), (2, 0.5), (2, 0.75)])
+    def test_sharded_flip_equals_single_process(self, shard_fixture,
+                                                workers, fraction):
+        names, _link_paths, merged = shard_fixture
+        detect_after_us = self.switch_time(merged, fraction)
+        factory = MonitorPipelineFactory(names=names)
+        source = PcapngTailSource(str(merged), follow=False)
+        snapshots = []
+        try:
+            fleet = FleetSupervisor(
+                demux=LinkDemux(source, names=names),
+                pipeline_factory=factory,
+                demux_batch=self.DEMUX_BATCH)
+            run_monitor(fleet, None, once=True,
+                        detect_after_us=detect_after_us,
+                        on_snapshot=snapshots.append)
+        finally:
+            source.close()
+        reference = snapshots[-1]
+        assert any(link.analyzers["detector"]["mode"] == "detect"
+                   for link in reference.links)
+        with ShardedFleetSupervisor(
+                factory, workers=workers, path=str(merged),
+                names=names, demux_batch=self.DEMUX_BATCH,
+                detect_after_us=detect_after_us) as sharded:
+            drain(sharded)
+            sharded.flush()
+            snapshot = sharded.snapshot()
+        assert snapshot == reference
+        assert render_json(snapshot) == render_json(reference)
 
 
 # -- the unrouted merge beyond the shared-file shape -----------------
