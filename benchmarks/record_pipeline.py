@@ -16,7 +16,8 @@ Usage::
     python benchmarks/record_pipeline.py --check    # CI regression gate
 
 ``--check`` re-measures only the cheap, machine-stable gate metrics
-(strict parser, streaming, Modbus and frame decode, sharded fleet)
+(strict parser, streaming, Modbus and frame decode, period detection,
+sharded fleet)
 and exits non-zero when any is more than ``--threshold``× (default
 2.0) slower than the committed ``after`` value. A missing or
 unreadable committed record downgrades the gate to a warning, so the
@@ -65,13 +66,15 @@ BEFORE = {
 #: metric covers the repro.stream pipeline (ByteChunk -> decode ->
 #: dispatch) the same way the parser metric covers the codec; the
 #: packet metric covers frame decode (bytes -> CapturedPacket,
-#: checksums verified); the fleet metric covers the sharded
-#: supervisor end to end (worker spawn, per-shard demux, snapshot
-#: merge).
+#: checksums verified); the period metric covers the timing report's
+#: per-session autocorrelation (analysis.bandwidth.detect_period); the
+#: fleet metric covers the sharded supervisor end to end (worker
+#: spawn, per-shard demux, snapshot merge).
 GATE_METRICS = ("strict_parse_ns_per_frame",
                 "stream_decode_ns_per_frame",
                 "modbus_decode_ns_per_frame",
                 "packet_decode_ns_per_frame",
+                "period_detect_us_per_session",
                 "fleet_ns_per_packet_w1")
 
 #: Extra --check headroom per metric: process spawn and pipe IPC make
@@ -200,6 +203,32 @@ def measure_decode(frame_count: int = 2000) -> dict:
     return {
         "packet_decode_ns_per_frame":
             round(_best_ns(run) / len(encoded), 1),
+    }
+
+
+def measure_period(sessions: int = 20) -> dict:
+    """Period detection: one ``detect_period`` call per session.
+
+    Synthetic keep-alive sessions shaped like a Y1 capture's at
+    ``time_scale=0.01``: a ~6,300 s span of 30 s ticks with up to
+    ±0.5 s of seeded jitter, binned at 1 s with ``max_period=600``
+    (the timing report's settings).
+    """
+    import random
+
+    from repro.analysis.bandwidth import detect_period
+
+    rng = random.Random(104)
+    series = [[tick * 30.0 + rng.uniform(-0.5, 0.5)
+               for tick in range(211)] for _ in range(sessions)]
+
+    def run():
+        for timestamps in series:
+            detect_period(timestamps, bin_size=1.0, max_period=600.0)
+
+    return {
+        "period_detect_us_per_session":
+            round(_best_ns(run) / len(series) / 1000, 1),
     }
 
 
@@ -367,6 +396,7 @@ def cmd_record(args) -> int:
     after.update(measure_stream())
     after.update(measure_modbus())
     after.update(measure_decode())
+    after.update(measure_period())
     after.update(measure_fleet())
     after.update(measure_serve())
     after.update(measure_pipeline())
@@ -384,19 +414,21 @@ def cmd_check(args) -> int:
     measured.update(measure_stream())
     measured.update(measure_modbus())
     measured.update(measure_decode())
+    measured.update(measure_period())
     measured.update(measure_fleet(worker_counts=(1,)))
     failed = []
     for metric in GATE_METRICS:
         value = measured[metric]
+        unit = "us" if "_us_" in metric else "ns"
         baseline = (committed or {}).get("after", {}).get(metric)
         if not baseline:
             print(f"WARNING: no committed baseline for {metric} at "
-                  f"{args.out}; measured {value} ns (gate skipped)")
+                  f"{args.out}; measured {value} {unit} (gate skipped)")
             continue
         limit = args.threshold * GATE_HEADROOM.get(metric, 1.0)
         ratio = value / baseline
-        print(f"{metric}: measured {value} ns vs committed "
-              f"{baseline} ns ({ratio:.2f}x, limit {limit:.1f}x)")
+        print(f"{metric}: measured {value} {unit} vs committed "
+              f"{baseline} {unit} ({ratio:.2f}x, limit {limit:.1f}x)")
         if ratio > limit:
             failed.append(metric)
     if failed:

@@ -121,53 +121,102 @@ class Periodicity:
         return self.period is not None and self.strength > 0.3
 
 
+#: An FFT autocorrelation rounds to the exact integer sums while
+#: ``Σ c²`` times the transform's log2 length stays below this: the
+#: float error is then a small multiple of ``2^-52 · 2^45``, far
+#: under the 0.5 the rounding tolerates.
+_FFT_EXACT_LIMIT = 1 << 45
+
+
+def _lag_products(counts: np.ndarray, max_lag: int,
+                  sum_sq: int) -> np.ndarray:
+    """``S_k = Σ c_i·c_{i+k}`` for ``k`` in ``1..max_lag``, exact (int64
+    holds them: each is at most ``Σ c² ≤ (Σ c)²``)."""
+    n = len(counts)
+    size = 1 << (n + max_lag - 1).bit_length()  # no wrap-around
+    if sum_sq * size.bit_length() < _FFT_EXACT_LIMIT:
+        spectrum = np.fft.rfft(counts, size)
+        products = np.fft.irfft(spectrum.real ** 2 + spectrum.imag ** 2,
+                                size)[1:max_lag + 1]
+        return np.rint(products).astype(np.int64)
+    return np.array([counts[:-lag] @ counts[lag:]
+                     for lag in range(1, max_lag + 1)], dtype=np.int64)
+
+
 def detect_period(timestamps: Sequence[float], bin_size: float = 1.0,
                   max_period: float = 600.0) -> Periodicity:
     """Find the dominant period via autocorrelation of binned counts.
 
-    Returns the lag (in seconds) of the highest autocorrelation peak
-    within (bin_size, max_period], or ``None`` when nothing repeats.
+    Events are counted into ``bin_size`` bins from the first
+    timestamp. For each lag ``k`` in ``1..max_period / bin_size`` the
+    autocorrelation is ``Σ (c_i − c̄)(c_{i+k} − c̄) / Σ (c_i − c̄)²``
+    over the ``n`` bins. The lag chosen is the first local maximum
+    above 0.1, else the global maximum if it is above 0.1; the result
+    is that lag in seconds, or ``None`` when nothing repeats.
+
+    The counts are integers, so every lag is computed exactly and all
+    at once. The raw sums ``S_k = Σ c_i·c_{i+k}`` come from one
+    zero-padded real FFT rounded to integers; the rounding is exact
+    while ``Σ c²`` stays far below 2^52, and past that bound the sums
+    are taken lag by lag in integers. With ``T = Σ c`` and the prefix
+    and suffix sums ``P_k = Σ_{i<n−k} c_i`` and ``Q_k = Σ_{i≥k} c_i``,
+    the autocorrelation scaled by ``n²`` is the integer ratio
+
+        N_k = n²·S_k − n·T·(P_k + Q_k) + (n − k)·T²
+        D   = n·(n·Σ c² − T²)
+
+    Peaks and the threshold (``10·N_k > D``) are found by comparing
+    these integers, so exact ties go to the first lag. They are int64
+    unless ``10·n²·Σ c²`` would overflow it, as it can for a
+    capture-scale span of ~10^6 bins; then they are Python ints
+    (object arrays). ``strength`` is ``N_k / D`` correctly rounded.
     """
     if bin_size <= 0 or max_period <= bin_size:
         raise ValueError("need 0 < bin_size < max_period")
-    times = sorted(timestamps)
+    times = np.asarray(timestamps, dtype=np.float64)
     if len(times) < 4:
         return Periodicity(period=None, strength=0.0)
-    start, end = times[0], times[-1]
-    bins = int((end - start) / bin_size) + 1
-    counts = np.zeros(bins)
-    for time in times:
-        counts[min(bins - 1, int((time - start) / bin_size))] += 1
-    centered = counts - counts.mean()
-    denominator = float((centered ** 2).sum())
+    start, end = float(times.min()), float(times.max())
+    n = int((end - start) / bin_size) + 1  # bins
+    # Same bin as min(n - 1, int((t - start) / bin_size)): the offsets
+    # are non-negative, so astype truncates as int() does.
+    counts = np.bincount(
+        np.minimum(n - 1, ((times - start) / bin_size).astype(np.int64)),
+        minlength=n)
+    total = len(times)
+    sum_sq = int(np.dot(counts, counts))
+    denominator = n * (n * sum_sq - total * total)
     if denominator <= 0:
         return Periodicity(period=None, strength=0.0)
-    max_lag = min(bins - 1, int(max_period / bin_size))
+    max_lag = min(n - 1, int(max_period / bin_size))
     if max_lag < 1:
         return Periodicity(period=None, strength=0.0)
-    best_lag, best_value = None, 0.0
-    previous = None
-    values = []
-    for lag in range(1, max_lag + 1):
-        value = float((centered[:-lag] * centered[lag:]).sum()
-                      ) / denominator
-        values.append(value)
+    lag_sums = _lag_products(counts, max_lag, sum_sq)
+    lags = np.arange(1, max_lag + 1)
+    prefix = np.cumsum(counts)
+    ends = prefix[n - 1 - lags] + (total - prefix[lags - 1])  # P_k + Q_k
+    remaining = n - lags
+    if 10 * n * n * sum_sq >= 1 << 63:  # past int64: use Python ints
+        lag_sums = lag_sums.astype(object)
+        ends = ends.astype(object)
+        remaining = remaining.astype(object)
+    values = (n * n * lag_sums - n * total * ends
+              + remaining * (total * total))
     # Pick the first local maximum above threshold; fall back to the
     # global maximum.
-    for index in range(1, len(values) - 1):
-        if values[index] >= values[index - 1] \
-                and values[index] >= values[index + 1] \
-                and values[index] > 0.1:
-            best_lag, best_value = index + 1, values[index]
-            break
-    if best_lag is None and values:
+    above = 10 * values > denominator
+    peaks = np.flatnonzero((values[1:-1] >= values[:-2])
+                           & (values[1:-1] >= values[2:])
+                           & above[1:-1])
+    if len(peaks):
+        best_index = int(peaks[0]) + 1
+    else:
         best_index = int(np.argmax(values))
-        if values[best_index] > 0.1:
-            best_lag, best_value = best_index + 1, values[best_index]
-    if best_lag is None:
-        return Periodicity(period=None, strength=0.0)
-    return Periodicity(period=best_lag * bin_size,
-                       strength=max(0.0, min(1.0, best_value)))
+        if not above[best_index]:
+            return Periodicity(period=None, strength=0.0)
+    # 0.1 < N_k / D <= 1 (Cauchy-Schwarz), so no clamp is needed.
+    return Periodicity(period=(best_index + 1) * bin_size,
+                       strength=int(values[best_index]) / denominator)
 
 
 @dataclass(frozen=True)
@@ -190,7 +239,7 @@ def timing_profiles(extraction: StreamExtraction,
 
     ``max_gap`` excludes idle stretches longer than the given number of
     seconds (the boundaries between capture days)."""
-    profiles = []
+    profiles: list[SessionTimingProfile] = []
     for session, events in sorted(extraction.by_session().items()):
         if len(events) < min_packets:
             continue

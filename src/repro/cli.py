@@ -28,7 +28,7 @@ from .analysis import (ConnectionChains, FlowAnalysis, PacketCapture,
 from .datasets import CaptureConfig, generate_capture
 from .netstack.addresses import IPv4Address
 from .netstack.packet import decode_records
-from .netstack.pcap import PcapReader
+from .netstack.pcap import PcapReader, PcapRecord
 from .netstack.pcapng import PcapngReader, sniff_format
 
 REPORTS = ("flows", "compliance", "typeids", "symbols", "classify",
@@ -74,12 +74,20 @@ def _load_names(path: str | None) -> dict[IPv4Address, str]:
 
 def _load_capture(path: str,
                   names: dict[IPv4Address, str]) -> PacketCapture:
+    """Read and decode a capture. Frames that fail to decode are
+    skipped and counted, as the streaming ``frame`` stage does, with
+    one line on stderr when there are any."""
+    skipped: list[PcapRecord] = []
     with open(path, "rb") as stream:
         if sniff_format(stream) == "pcapng":
             reader = PcapngReader(stream)
         else:
             reader = PcapReader(stream)
-        packets = list(decode_records(reader))
+        packets = list(decode_records(
+            reader, on_error=lambda record, _: skipped.append(record)))
+    if skipped:
+        print(f"skipped {len(skipped)} frame(s) that failed to decode",
+              file=sys.stderr)
     return PacketCapture(packets=packets, names=names)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .addresses import IPv4Address, MacAddress
 from .ethernet import ETHERTYPE_IPV4, EthernetError, EthernetFrame
@@ -310,10 +310,22 @@ def peek_ports(frame_bytes: bytes) -> tuple[int, int] | None:
     return _PORTS.unpack_from(frame_bytes, offset)
 
 
-def decode_records(records: Iterable[PcapRecord]
-                   ) -> Iterator[CapturedPacket]:
-    """Decode capture records in order, skipping non-TCP/IPv4 frames."""
+def decode_records(records: Iterable[PcapRecord],
+                   on_error: Callable[[PcapRecord, ValueError], None]
+                   | None = None) -> Iterator[CapturedPacket]:
+    """Decode capture records in order, skipping non-TCP/IPv4 frames.
+
+    A frame that fails to decode (bad checksum, truncated header)
+    raises, unless ``on_error`` is given: it is then called with the
+    record and the error, and the frame is skipped.
+    """
     for record in records:
-        packet = CapturedPacket.decode(record.time_us, record.data)
+        try:
+            packet = CapturedPacket.decode(record.time_us, record.data)
+        except ValueError as error:
+            if on_error is None:
+                raise
+            on_error(record, error)
+            continue
         if packet is not None:
             yield packet

@@ -242,3 +242,43 @@ class TestJsonOutput:
         assert any(value["nodes"] >= 1
                    for value in document["markov"].values())
         assert document["timing"]
+
+
+class TestCorruptFrame:
+    """A frame that fails to decode is skipped and counted, as the
+    streaming ``frame`` stage counts it, instead of ending the run."""
+
+    def test_analyze_skips_and_counts_a_bad_frame(self, tmp_path,
+                                                  capsys):
+        from repro.netstack.packet import peek_addresses
+        from repro.netstack.pcap import PcapRecord
+        from repro.netstack.pcapng import read_pcapng, write_pcapng
+
+        clean = tmp_path / "y1.pcapng"
+        main(["generate", "--year", "1", "--scale", "0.001",
+              "--out", str(clean)], out=io.StringIO())
+        records = read_pcapng(clean)
+        victim = next(index for index, record in enumerate(records)
+                      if peek_addresses(record.data) is not None)
+        ttl = 14 + 8  # Ethernet header + the IPv4 TTL offset
+        data = bytearray(records[victim].data)
+        data[ttl] ^= 0x01  # the IPv4 header checksum now fails
+        records[victim] = PcapRecord(time_us=records[victim].time_us,
+                                     data=bytes(data))
+        corrupt = tmp_path / "corrupt.pcapng"
+        write_pcapng(corrupt, records)
+        names = str(clean.with_suffix(".names.json"))
+
+        def analyze(path):
+            out = io.StringIO()
+            code = main(["analyze", str(path), "--names", names,
+                         "--json"], out=out)
+            return code, json.loads(out.getvalue()), \
+                capsys.readouterr().err
+
+        code, document, err = analyze(clean)
+        assert code == 0 and err == ""
+        code, damaged, err = analyze(corrupt)
+        assert code == 0
+        assert damaged["packets"] == document["packets"] - 1
+        assert err == "skipped 1 frame(s) that failed to decode\n"
